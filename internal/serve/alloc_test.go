@@ -53,7 +53,9 @@ func assertZeroAlloc(t *testing.T, name string, w *nopWriter, s *Server, req *ht
 
 // TestHotPathZeroAlloc pins the steady-state hot-path contract: once
 // warm, predict (full sweep and single config), recommend (both
-// objectives, with constraints), and healthz allocate nothing.
+// objectives, with constraints), both again off the compiled batch
+// once the manual pass has compiled that batch's tables, and healthz
+// allocate nothing.
 func TestHotPathZeroAlloc(t *testing.T) {
 	skipUnderRace(t)
 	s := warmServer(t)
@@ -65,6 +67,8 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		{"predict-config", "/v1/predict", "model=alexnet&config=2xP3&samples=100000"},
 		{"recommend-cost", "/v1/recommend", "model=vgg-16&objective=cost"},
 		{"recommend-constrained", "/v1/recommend", "model=inception-v3&objective=time&max_hourly_usd=50&max_total_usd=100"},
+		{"predict-offbatch", "/v1/predict", "model=resnet-50&batch=64"},
+		{"recommend-offbatch", "/v1/recommend", "model=vgg-16&objective=cost&batch=16"},
 		{"healthz", "/healthz", ""},
 	}
 	for _, c := range cases {

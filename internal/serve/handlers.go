@@ -260,18 +260,18 @@ func (q *query) parse(raw string, maxK int) string {
 	return ""
 }
 
-// findModel resolves a zoo model by name: a linear scan over the 12
-// entries (cheaper than a map at this size, and map reads are banned on
-// the marked hot path anyway).
+// findModel resolves a zoo model by name to its index in s.models, or
+// -1: a linear scan over the 12 entries (cheaper than a map at this
+// size, and map reads are banned on the marked hot path anyway).
 //
 //hot:path
-func (s *Server) findModel(name string) *modelEntry {
+func (s *Server) findModel(name string) int {
 	for i := range s.models {
 		if s.models[i].name == name {
-			return &s.models[i]
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // findCand resolves a "<k>x<family>" (or bare "<family>", k=1)
@@ -332,8 +332,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, start int
 		s.respondError(w, epPredict, http.StatusBadRequest, "missing model parameter", start)
 		return
 	}
-	me := s.findModel(sc.q.model)
-	if me == nil {
+	mi := s.findModel(sc.q.model)
+	if mi < 0 {
 		s.respondError(w, epPredict, http.StatusNotFound, "unknown model", start)
 		return
 	}
@@ -349,7 +349,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, start int
 		cands = s.candsByK[s.maxK][ci : ci+1]
 		metas = s.metaByK[s.maxK][ci : ci+1]
 	}
-	status, msg := s.renderPredict(sc, me, cands, metas)
+	comp, g, msg := s.tablesFor(sc.q.batch, mi)
+	if msg != "" {
+		s.respondError(w, epPredict, http.StatusBadRequest, msg, start)
+		return
+	}
+	status, msg := s.renderPredict(sc, comp, g, cands, metas)
 	if status != http.StatusOK {
 		s.respondError(w, epPredict, status, msg, start)
 		return
@@ -369,12 +374,17 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request, start i
 		s.respondError(w, epRecommend, http.StatusBadRequest, "missing model parameter", start)
 		return
 	}
-	me := s.findModel(sc.q.model)
-	if me == nil {
+	mi := s.findModel(sc.q.model)
+	if mi < 0 {
 		s.respondError(w, epRecommend, http.StatusNotFound, "unknown model", start)
 		return
 	}
-	status, msg := s.renderRecommend(sc, me, s.candsByK[sc.q.maxk], s.metaByK[sc.q.maxk])
+	comp, g, msg := s.tablesFor(sc.q.batch, mi)
+	if msg != "" {
+		s.respondError(w, epRecommend, http.StatusBadRequest, msg, start)
+		return
+	}
+	status, msg := s.renderRecommend(sc, comp, g, s.candsByK[sc.q.maxk], s.metaByK[sc.q.maxk])
 	if status != http.StatusOK {
 		s.respondError(w, epRecommend, status, msg, start)
 		return

@@ -36,6 +36,37 @@ func BenchmarkServeRecommend(b *testing.B) {
 	}
 }
 
+// BenchmarkServePredictOffBatch is BenchmarkServePredict at a batch
+// size other than the compiled one: after the first request compiles
+// that batch's tables, it must report 0 allocs/op like the compiled
+// batch.
+func BenchmarkServePredictOffBatch(b *testing.B) {
+	s := warmServer(b)
+	w := newNopWriter()
+	req := hotRequest("/v1/predict", "model=resnet-50&batch=64")
+	s.ServeHTTP(w, req) // first request: compiles the batch-64 tables
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.ServeHTTP(w, req)
+	}
+}
+
+// BenchmarkServeRecommendOffBatch is BenchmarkServeRecommend at a batch
+// size other than the compiled one; 0 allocs/op after the first
+// request.
+func BenchmarkServeRecommendOffBatch(b *testing.B) {
+	s := warmServer(b)
+	w := newNopWriter()
+	req := hotRequest("/v1/recommend", "model=resnet-50&objective=cost&max_hourly_usd=50&batch=64")
+	s.ServeHTTP(w, req) // first request: compiles the batch-64 tables
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.ServeHTTP(w, req)
+	}
+}
+
 var benchSpec = loadgen.Spec{
 	Seed:     1,
 	Requests: 256,
@@ -102,19 +133,20 @@ func BenchmarkServeEncodePredict(b *testing.B) {
 	defer s.arena.put(sc)
 	sc.q.reset(s)
 	sc.q.model = "resnet-50"
-	me := s.findModel("resnet-50")
-	if me == nil {
+	mi := s.findModel("resnet-50")
+	if mi < 0 {
 		b.Fatal("resnet-50 not in zoo")
 	}
+	comp, g, _ := s.tablesFor(s.batch, mi)
 	cands := s.candsByK[s.maxK]
 	metas := s.metaByK[s.maxK]
-	if status, msg := s.renderPredict(sc, me, cands, metas); status != 200 {
+	if status, msg := s.renderPredict(sc, comp, g, cands, metas); status != 200 {
 		b.Fatalf("render: %d %s", status, msg)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if status, _ := s.renderPredict(sc, me, cands, metas); status != 200 {
+		if status, _ := s.renderPredict(sc, comp, g, cands, metas); status != 200 {
 			b.Fatal("render failed")
 		}
 	}

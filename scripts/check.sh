@@ -79,12 +79,13 @@ BENCH_COUNT=2 BENCH_TIME=500x BENCH_OUT="$(mktemp)" ./scripts/bench.sh >/dev/nul
 
 echo "== serve daemon bench regression gate"
 # The daemon's hot-path benches gated against the committed
-# BENCH_serve.json. Only the two zero-alloc handler benches gate here
-# (the loadgen benches measure wall-clock percentiles and are recorded,
-# not gated, by `make bench-serve`). Any allocs/op above the committed
-# baseline of 0 fails — the zero-allocation contract of DESIGN.md §13.
+# BENCH_serve.json. Only the zero-alloc handler benches gate here, at
+# the compiled batch and off it (the loadgen benches measure wall-clock
+# percentiles and are recorded, not gated, by `make bench-serve`). Any
+# allocs/op above the committed baseline of 0 fails — the
+# zero-allocation contract of DESIGN.md §13.
 BENCH_COUNT=2 BENCH_TIME=500x BENCH_PKG=./internal/serve \
-    BENCH_REGEX='ServePredict$|ServeRecommend$|ServeEncodePredict$' \
+    BENCH_REGEX='ServePredict(OffBatch)?$|ServeRecommend(OffBatch)?$|ServeEncodePredict$' \
     BENCH_BASELINE=BENCH_serve.json BENCH_OUT="$(mktemp)" \
     ./scripts/bench.sh >/dev/null
 

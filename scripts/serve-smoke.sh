@@ -2,9 +2,10 @@
 # End-to-end smoke test of the serving daemon (`ceer serve`): boots the
 # daemon on an ephemeral port against a freshly trained model file,
 # hits every endpoint, byte-compares the daemon's /v1/predict body with
-# `ceer predict -json` for the same query (the CLI renders through the
-# daemon's own encoder, so any divergence is a bug), exercises the
-# hot-reload admin endpoint, and drains with SIGTERM.
+# `ceer predict -json` for the same query, at the compiled batch and
+# off it (the CLI renders through the daemon's own encoder, so any
+# divergence is a bug), exercises the hot-reload admin endpoint, and
+# drains with SIGTERM.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -73,6 +74,17 @@ echo "== serve smoke: CLI/daemon byte equivalence"
 if ! cmp -s "${tmp}/predict.json" "${tmp}/predict_cli.json"; then
     echo "serve smoke FAILED: daemon /v1/predict and 'ceer predict -json' diverge" >&2
     diff "${tmp}/predict.json" "${tmp}/predict_cli.json" >&2 || true
+    exit 1
+fi
+
+# Off the compiled batch the daemon compiles tables for batch 64 on the
+# first request; they must match the CLI's server compiled at 64.
+fetch "/v1/predict?model=resnet-50&config=2xP3&batch=64" "${tmp}/predict64.json"
+"${tmp}/ceer" predict -json -models "${tmp}/models.json" -batch 64 \
+    -model resnet-50 -config 2xP3 >"${tmp}/predict64_cli.json"
+if ! cmp -s "${tmp}/predict64.json" "${tmp}/predict64_cli.json"; then
+    echo "serve smoke FAILED: daemon batch=64 /v1/predict and 'ceer predict -json -batch 64' diverge" >&2
+    diff "${tmp}/predict64.json" "${tmp}/predict64_cli.json" >&2 || true
     exit 1
 fi
 
