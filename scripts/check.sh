@@ -2,8 +2,9 @@
 # Tier-1+ verification gate (see README "Verification"): formatting,
 # vet, build, the full test suite, a race-detector pass over the whole
 # module, the ceer-lint static-analysis suite, the escape-analysis
-# cross-check, the calibration golden gate, the chaos determinism
-# gate, and a bench smoke run.
+# cross-check, the calibration golden gate, the paper-fidelity gate
+# (experiment report byte-identity), the chaos determinism gate, and a
+# bench smoke run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -52,6 +53,23 @@ echo "== calibration golden gate"
 #   go test ./internal/ceer -run TestCalibrateGoldenReport -update-calib-golden
 go test ./internal/ceer -count=1 \
     -run 'TestCalibrateGoldenReport|TestCalibrateDeterministicReplay' >/dev/null
+
+echo "== paper-fidelity gate"
+# The full experiment report (every paper figure, table and extension,
+# default flags) is deterministic; it must match the committed
+# experiments_report.txt byte for byte, so a refactor cannot drift a
+# paper-level result unnoticed. Regenerate after an intentional change
+# with:
+#   go run ./cmd/ceer-experiments > experiments_report.txt
+report=$(mktemp)
+go run ./cmd/ceer-experiments 2>/dev/null >"${report}"
+if ! cmp -s "${report}" experiments_report.txt; then
+    echo "paper-fidelity gate FAILED: ceer-experiments output differs from experiments_report.txt:" >&2
+    diff experiments_report.txt "${report}" | head -40 >&2 || true
+    rm -f "${report}"
+    exit 1
+fi
+rm -f "${report}"
 
 echo "== chaos determinism gate"
 # Campaigns under the canned fault spec must be byte-reproducible at
