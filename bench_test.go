@@ -368,8 +368,8 @@ func BenchmarkBuildCacheHitRate(b *testing.B) {
 }
 
 // servingPipeline trains the compact predictor used by the serving-path
-// benches below. Each bench that measures memo behavior trains its own
-// instance so the prediction memo starts cold.
+// benches below. A bench that counts model evaluations trains its own
+// instance so the counter starts at zero.
 func servingPipeline() ceer.Pipeline {
 	pl := ceer.DefaultPipeline(7)
 	pl.ProfileIterations = 30
@@ -383,8 +383,8 @@ var (
 	servingErr  error
 )
 
-// servingPredictor is the shared (warm-memo) predictor for the
-// per-iteration benches.
+// servingPredictor is the shared predictor for the per-iteration
+// benches.
 func servingPredictor(b *testing.B) *ceer.Predictor {
 	b.Helper()
 	servingOnce.Do(func() {
@@ -397,28 +397,8 @@ func servingPredictor(b *testing.B) *ceer.Predictor {
 	return servingPred
 }
 
-// BenchmarkPredictIterationFolded measures the warm folded serving path
-// on the deepest zoo CNN; unique-frac is the fold's class-to-node ratio
-// (the work reduction per prediction).
-func BenchmarkPredictIterationFolded(b *testing.B) {
-	p := servingPredictor(b)
-	g := zoo.MustBuild("resnet-152", 32)
-	if _, err := p.PredictIteration(g, gpu.V100, 4, ceer.Full); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.PredictIteration(g, gpu.V100, 4, ceer.Full); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(g.Fold().Len())/float64(g.Len()), "unique-frac")
-}
-
 // BenchmarkPredictIterationUnfolded is the naive per-node reference for
-// the bench above.
+// BenchmarkPredictIterationCompiled.
 func BenchmarkPredictIterationUnfolded(b *testing.B) {
 	p := servingPredictor(b)
 	g := zoo.MustBuild("resnet-152", 32)
@@ -457,10 +437,9 @@ func servingCompiled(b *testing.B) (*ceer.CompiledPredictor, []*graph.Graph) {
 }
 
 // BenchmarkPredictIterationCompiled measures the compiled serving core
-// on the same deepest-CNN prediction as the folded bench above: a pure
-// gather-and-sum over the precompiled flat tables, no memo, no mutex,
-// no allocation even on the first call. "table-kb" is the resident
-// size of the whole zoo-wide table.
+// on the deepest zoo CNN: a pure gather-and-sum over the precompiled
+// flat tables, no mutex, no allocation even on the first call.
+// "table-kb" is the resident size of the whole zoo-wide table.
 func BenchmarkPredictIterationCompiled(b *testing.B) {
 	core, graphs := servingCompiled(b)
 	var g *graph.Graph
@@ -508,12 +487,11 @@ func BenchmarkCompileZoo(b *testing.B) {
 // recommender — one RecommendInto table scan per CNN over all device×k
 // candidates — and reports, against references measured in the same
 // process: "speedup-vs-naive" (wall-clock vs a per-node unfolded
-// sweep), "speedup-vs-folded" (wall-clock vs the warm folded
-// per-predictor-memo sweep, the PR 3 serving path), "eval-reduction-x"
-// (cold regression evaluations, naive / folded), and "compile-ms" (the
-// one-time table build the compiled path amortizes). The steady state
-// is allocation-free: every prediction is a gather over immutable flat
-// tables into caller-owned Recommendations.
+// sweep), "eval-reduction-x" (regression evaluations, naive sweep /
+// zoo compile), and "compile-ms" (the one-time table build the
+// compiled path amortizes). The steady state is allocation-free: every
+// prediction is a gather over immutable flat tables into caller-owned
+// Recommendations.
 func BenchmarkRecommendSweep(b *testing.B) {
 	pl := servingPipeline()
 	p, _, err := pl.TrainOn(context.Background(), zoo.Build, zoo.TrainingSet())
@@ -525,13 +503,6 @@ func BenchmarkRecommendSweep(b *testing.B) {
 		graphs = append(graphs, zoo.MustBuild(name, 32))
 	}
 	cands := cloud.Configs(4)
-	foldedSweep := func() {
-		for _, g := range graphs {
-			if _, err := p.Recommend(g, dataset.ImageNet, cloud.OnDemand, cands, ceer.MinimizeCost); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
 
 	// Naive reference: every candidate through the per-node path.
 	base := p.ModelEvaluations()
@@ -546,29 +517,19 @@ func BenchmarkRecommendSweep(b *testing.B) {
 	naiveSec := time.Since(start).Seconds()
 	naiveEvals := p.ModelEvaluations() - base
 
-	// Folded reference: cold sweep pays the memo fill, then a warm
-	// steady state (the PR 3 serving path).
-	base = p.ModelEvaluations()
-	foldedSweep()
-	coldEvals := p.ModelEvaluations() - base
-	if coldEvals == 0 {
-		b.Fatal("cold folded sweep ran zero evaluations")
-	}
-	const foldedReps = 10
-	start = time.Now()
-	for i := 0; i < foldedReps; i++ {
-		foldedSweep()
-	}
-	foldedSec := time.Since(start).Seconds() / foldedReps
-
 	// Compile the zoo-wide tables (the cost the compiled path pays
 	// once), then sweep through caller-owned Recommendations.
+	base = p.ModelEvaluations()
 	start = time.Now()
 	core, err := ceer.Compile(p, graphs)
 	if err != nil {
 		b.Fatal(err)
 	}
 	compileSec := time.Since(start).Seconds()
+	compileEvals := p.ModelEvaluations() - base
+	if compileEvals == 0 {
+		b.Fatal("zoo compile ran zero evaluations")
+	}
 	recs := make([]ceer.Recommendation, len(graphs))
 	sweep := func() {
 		for gi, g := range graphs {
@@ -585,11 +546,10 @@ func BenchmarkRecommendSweep(b *testing.B) {
 		sweep()
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(naiveEvals)/float64(coldEvals), "eval-reduction-x")
+	b.ReportMetric(float64(naiveEvals)/float64(compileEvals), "eval-reduction-x")
 	b.ReportMetric(compileSec*1e3, "compile-ms")
 	if compiledSec := b.Elapsed().Seconds() / float64(b.N); compiledSec > 0 {
 		b.ReportMetric(naiveSec/compiledSec, "speedup-vs-naive")
-		b.ReportMetric(foldedSec/compiledSec, "speedup-vs-folded")
 	}
 }
 

@@ -127,9 +127,15 @@ type (
 )
 
 // ErrNotCompiled reports a prediction against a graph or device outside
-// a CompiledSystem's compiled set (check with errors.Is; fall back to
-// the uncompiled System methods).
+// a CompiledSystem's compiled set (check with errors.Is). Compile a set
+// that covers the graph (Compile), or use the System methods, which
+// compile the one graph per call.
 var ErrNotCompiled = internal.ErrNotCompiled
+
+// ErrNoFeasible reports a recommendation in which every candidate failed
+// a constraint (check with errors.Is); the returned Recommendation still
+// lists every candidate.
+var ErrNoFeasible = internal.ErrNoFeasible
 
 // Sentinel causes carried inside a PersistError (check with errors.Is)
 // so reload paths can report why a model file was rejected: a stale
@@ -383,7 +389,8 @@ func LoadFile(path string) (*System, error) {
 }
 
 // PredictTraining predicts the end-to-end training time and cost of one
-// epoch of ds on cfg.
+// epoch of ds on cfg. It compiles g alone per call; predict repeatedly
+// through Compiled or Compile.
 func (s *System) PredictTraining(g *Graph, cfg InstanceConfig, ds Dataset, p Pricing) (Prediction, error) {
 	return s.pred.PredictTraining(g, cfg, ds, p)
 }
@@ -394,7 +401,8 @@ func (s *System) PredictTrainingVariant(g *Graph, cfg InstanceConfig, ds Dataset
 }
 
 // Recommend evaluates the candidates and returns the feasible one
-// minimizing the objective, plus every candidate's prediction.
+// minimizing the objective, plus every candidate's prediction. It
+// compiles g alone per call, like PredictTraining.
 func (s *System) Recommend(g *Graph, ds Dataset, p Pricing, candidates []InstanceConfig,
 	obj Objective, constraints ...Constraint) (Recommendation, error) {
 	return s.pred.Recommend(g, ds, p, candidates, obj, constraints...)
@@ -404,8 +412,8 @@ func (s *System) Recommend(g *Graph, ds Dataset, p Pricing, candidates []Instanc
 // zoo at the given per-GPU batch size (0 selects the paper default,
 // 32): CompileZoo, memoized per batch size. The result is safe for
 // concurrent use; graphs must come from BuildModelCached (the compiled
-// set is keyed by graph identity). For graphs outside the zoo, use the
-// System methods directly (or check for ErrNotCompiled and fall back).
+// set is keyed by graph identity). Graphs outside the zoo need their
+// own Compile, or the System methods, which compile per call.
 func (s *System) Compiled(batch int64) (*CompiledSystem, error) {
 	if batch == 0 {
 		batch = zoo.DefaultBatch

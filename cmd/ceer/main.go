@@ -494,11 +494,6 @@ func cmdPredict(args []string) (err error) {
 	}
 	for _, cfg := range cfgs {
 		pred, err := comp.PredictTraining(g, cfg, ds, pricing)
-		if errors.Is(err, ceer.ErrNotCompiled) {
-			// Outside the compiled set (e.g. a device registered after
-			// compilation): fall back to the folded path.
-			pred, err = sys.PredictTraining(g, cfg, ds, pricing)
-		}
 		if err != nil {
 			return err
 		}
@@ -516,7 +511,7 @@ func cmdPredict(args []string) (err error) {
 	}
 	if *explain {
 		for _, cfg := range cfgs {
-			if err := renderExplanation(sys, g, cfg); err != nil {
+			if err := renderExplanation(comp, g, cfg); err != nil {
 				return err
 			}
 		}
@@ -528,7 +523,7 @@ func cmdPredict(args []string) (err error) {
 				continue
 			}
 			seen[cfg.GPU] = true
-			if err := renderNodeExplanation(sys, g, cfg.GPU, *explainNodes); err != nil {
+			if err := renderNodeExplanation(comp, g, cfg.GPU, *explainNodes); err != nil {
 				return err
 			}
 		}
@@ -539,8 +534,11 @@ func cmdPredict(args []string) (err error) {
 // renderNodeExplanation prints the top node-level contributions of one
 // device's predicted iteration (compute only; communication has no node
 // to attach to).
-func renderNodeExplanation(sys *ceer.System, g *ceer.Graph, m gpu.ID, top int) error {
-	nodes := sys.Predictor().ExplainNodes(g, m)
+func renderNodeExplanation(comp *ceer.CompiledSystem, g *ceer.Graph, m gpu.ID, top int) error {
+	nodes, err := comp.ExplainNodes(g, m)
+	if err != nil {
+		return err
+	}
 	tbl := &textutil.Table{
 		Title:  fmt.Sprintf("Per-node attribution: %s on %s (top %d of %d)", g.Name, m, top, len(nodes)),
 		Header: []string{"node", "operation", "class", "phase", "ms/iter"},
@@ -558,8 +556,8 @@ func renderNodeExplanation(sys *ceer.System, g *ceer.Graph, m gpu.ID, top int) e
 
 // renderExplanation prints the per-op-type attribution of one
 // configuration's predicted iteration.
-func renderExplanation(sys *ceer.System, g *ceer.Graph, cfg ceer.InstanceConfig) error {
-	ex, err := sys.Predictor().ExplainIteration(g, cfg.GPU, cfg.K)
+func renderExplanation(comp *ceer.CompiledSystem, g *ceer.Graph, cfg ceer.InstanceConfig) error {
+	ex, err := comp.Explain(g, cfg.GPU, cfg.K)
 	if err != nil {
 		return err
 	}
@@ -644,18 +642,16 @@ func cmdRecommend(args []string) (err error) {
 		constraints = append(constraints, ceer.FitsGPUMemory(g))
 	}
 	// Sweep through the compiled zoo-wide tables (one up-front compile,
-	// then the sweep is a pure table scan), falling back to the folded
-	// path for anything outside the compiled set.
+	// then the sweep is a pure table scan).
 	comp, err := sys.Compiled(*batch)
 	if err != nil {
 		return err
 	}
-	rec, err := comp.Recommend(g, ds, pricing, ceer.AllConfigs(4), obj, constraints...)
-	if errors.Is(err, ceer.ErrNotCompiled) {
-		rec, err = sys.Recommend(g, ds, pricing, ceer.AllConfigs(4), obj, constraints...)
-	}
-	if err != nil {
-		return err
+	rec, recErr := comp.Recommend(g, ds, pricing, ceer.AllConfigs(4), obj, constraints...)
+	// With nothing feasible, still render the candidate table so the
+	// user sees why, then exit 1 with the error.
+	if recErr != nil && !errors.Is(recErr, ceer.ErrNoFeasible) {
+		return recErr
 	}
 	tbl := &textutil.Table{
 		Title:  fmt.Sprintf("Recommendation for %s (minimize %s)", *model, *objective),
@@ -675,9 +671,13 @@ func cmdRecommend(args []string) (err error) {
 			fmt.Sprintf("%.3f", c.HourlyUSD), textutil.Hours(c.TotalSeconds),
 			textutil.USD(c.CostUSD), fmt.Sprintf("%v", c.Feasible))
 	}
-	tbl.AddNote("recommended: %s (%s) at %s, %s",
-		rec.Best.Cfg, ceer.InstanceName(rec.Best.Cfg),
-		textutil.Hours(rec.Best.TotalSeconds)+"h", textutil.USD(rec.Best.CostUSD))
+	if recErr != nil {
+		tbl.AddNote("no configuration satisfies the constraints")
+	} else {
+		tbl.AddNote("recommended: %s (%s) at %s, %s",
+			rec.Best.Cfg, ceer.InstanceName(rec.Best.Cfg),
+			textutil.Hours(rec.Best.TotalSeconds)+"h", textutil.USD(rec.Best.CostUSD))
+	}
 	if len(degraded) > 0 {
 		for _, m := range sys.DegradedDevices() {
 			if reason, ok := degraded[string(m)]; ok {
@@ -688,7 +688,10 @@ func cmdRecommend(args []string) (err error) {
 			tbl.AddNote("no cleanly-covered feasible configuration; the recommendation is degraded")
 		}
 	}
-	return tbl.Render(os.Stdout)
+	if err := tbl.Render(os.Stdout); err != nil {
+		return err
+	}
+	return recErr
 }
 
 // cmdDevices prints the device registry: one row per registered GPU

@@ -2,8 +2,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"ceer"
@@ -82,8 +85,61 @@ func TestRenderExplanationSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, _ := ceer.Config("P3", 1) // known-valid config; the error path has its own test
-	if err := renderExplanation(sys, g, cfg); err != nil {
+	comp, err := ceer.Compile(sys.Predictor(), g)
+	if err != nil {
 		t.Fatal(err)
+	}
+	cfg, _ := ceer.Config("P3", 1) // known-valid config; the error path has its own test
+	if err := renderExplanation(comp, g, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := renderNodeExplanation(comp, g, cfg.GPU, 3); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecommendRendersAllInfeasible: with every candidate over budget,
+// `ceer recommend` still prints the full candidate table, then fails
+// with the no-feasible error.
+func TestRecommendRendersAllInfeasible(t *testing.T) {
+	sys, err := ceer.Train(ceer.TrainOptions{Seed: 4, ProfileIterations: 20, CommIterations: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	models := filepath.Join(dir, "models.json")
+	f, err := os.Create(models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := os.Stdout
+	os.Stdout = out
+	err = cmdRecommend([]string{"-models", models, "-model", "alexnet", "-hourly-budget", "0.001"})
+	os.Stdout = orig
+	if cerr := out.Close(); cerr != nil {
+		t.Fatal(cerr)
+	}
+	if !errors.Is(err, ceer.ErrNoFeasible) {
+		t.Fatalf("err = %v, want ErrNoFeasible", err)
+	}
+	table, rerr := os.ReadFile(out.Name())
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	if n := strings.Count(string(table), " false\n"); n != len(ceer.AllConfigs(4)) {
+		t.Errorf("table has %d infeasible rows, want %d:\n%s", n, len(ceer.AllConfigs(4)), table)
+	}
+	if !strings.Contains(string(table), "no configuration satisfies the constraints") {
+		t.Errorf("table lacks the no-feasible note:\n%s", table)
 	}
 }

@@ -40,9 +40,10 @@ func compiled(t *testing.T) (*CompiledPredictor, []*graph.Graph) {
 }
 
 // TestCompiledMatchesFoldedAndNaive is the tentpole correctness pin:
-// the compiled gather-and-sum must reproduce both the folded and the
-// naive per-node paths on every zoo CNN × every registered device ×
-// k ∈ {1,2,4,8}, within 1e-9 relative.
+// the zoo-wide compiled gather-and-sum must reproduce both the
+// Predictor's one-graph compile and the naive per-node path on every
+// zoo CNN × every registered device × k ∈ {1,2,4,8}, within 1e-9
+// relative.
 func TestCompiledMatchesFoldedAndNaive(t *testing.T) {
 	c, graphs := compiled(t)
 	p := c.Predictor()
@@ -105,9 +106,9 @@ func TestCompiledVariantsMatchFolded(t *testing.T) {
 }
 
 // TestCompiledRecommendMatchesPredictor requires identical
-// recommendations from the compiled table scan and the folded
-// recommender: same winner, same feasibility, same candidate order,
-// predictions within tolerance.
+// recommendations from the zoo-wide table scan and the Predictor's
+// one-graph recommender: same winner, same feasibility, same candidate
+// order, predictions within tolerance.
 func TestCompiledRecommendMatchesPredictor(t *testing.T) {
 	c, graphs := compiled(t)
 	p := c.Predictor()
@@ -179,8 +180,8 @@ func TestCompiledPredictTrainingMatches(t *testing.T) {
 }
 
 // TestCompiledNotCompiled pins the escape hatch: graphs and devices
-// outside the compiled set return ErrNotCompiled (errors.Is), so
-// callers can fall back to the folded path.
+// outside the compiled set return ErrNotCompiled (errors.Is), from
+// every read method.
 func TestCompiledNotCompiled(t *testing.T) {
 	c, graphs := compiled(t)
 	rebuilt := zoo.MustBuild(graphs[0].Name, 32) // same shape, different pointer
@@ -196,11 +197,18 @@ func TestCompiledNotCompiled(t *testing.T) {
 	if !errors.Is(err, ErrNotCompiled) {
 		t.Errorf("RecommendInto on rebuilt graph: err = %v, want ErrNotCompiled", err)
 	}
+	if _, err := c.Explain(rebuilt, gpu.V100, 1); !errors.Is(err, ErrNotCompiled) {
+		t.Errorf("Explain on rebuilt graph: err = %v, want ErrNotCompiled", err)
+	}
+	if _, err := c.ExplainNodes(graphs[0], gpu.ID("no-such-device")); !errors.Is(err, ErrNotCompiled) {
+		t.Errorf("ExplainNodes on unknown device: err = %v, want ErrNotCompiled", err)
+	}
 }
 
 // TestCompiledAllocFree pins the compiled hot path at zero allocations:
-// PredictIteration always (no warm-up needed — there is no memo to
-// fill), and RecommendInto once its Candidates buffer has capacity.
+// PredictIteration always (no warm-up needed — compilation filled
+// every table), and RecommendInto once its Candidates buffer has
+// capacity.
 func TestCompiledAllocFree(t *testing.T) {
 	c, graphs := compiled(t)
 	g := graphs[0]

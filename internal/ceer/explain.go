@@ -36,56 +36,54 @@ type Explanation struct {
 
 // ExplainIteration predicts one training iteration and attributes the
 // prediction to operation types — the "why is this CNN slow here"
-// companion to PredictIteration (used by `ceer predict -explain`). The
-// attribution walks the graph's signature fold, so it shares the
-// serving path's per-(device, signature) memo; use ExplainNodes for a
-// per-node breakdown.
+// companion to PredictIteration. It compiles g alone per call (see
+// CompiledPredictor.Explain); use ExplainNodes for a per-node
+// breakdown.
 func (p *Predictor) ExplainIteration(g *graph.Graph, m gpu.ID, k int) (*Explanation, error) {
-	iter, err := p.PredictIteration(g, m, k, Full)
+	c, err := Compile(p, []*graph.Graph{g})
 	if err != nil {
 		return nil, err
 	}
-	type acc struct {
-		count   int
-		seconds float64
+	return c.Explain(g, m, k)
+}
+
+// Explain predicts one training iteration of a compiled graph and
+// attributes it to operation types (used by `ceer predict -explain`
+// and /v1/explain): each type's seconds are Σ count × class time over
+// the graph's classes of that type, read from the compiled tables.
+// Contributions are sorted by predicted time (descending), ties by
+// type.
+func (c *CompiledPredictor) Explain(g *graph.Graph, m gpu.ID, k int) (*Explanation, error) {
+	gi, di, err := c.locate(g, m)
+	if err != nil {
+		return nil, err
 	}
-	byType := make(map[ops.Type]*acc)
-	entries := g.Fold().Entries()
-	for i := range entries {
-		e := &entries[i]
-		t := e.Rep.Op.Type
-		a := byType[t]
-		if a == nil {
-			a = &acc{}
-			byType[t] = a
-		}
-		a.count += e.Count
-		switch p.Class.Of(t) {
-		case ops.HeavyGPU:
-			if om, ok := p.opModels[m][t]; ok {
-				a.seconds += float64(e.Count) * p.memoizedHeavy(m, om, e)
-			} else {
-				a.seconds += float64(e.Count) * p.LightMedian
-			}
-		case ops.LightGPU:
-			a.seconds += float64(e.Count) * p.LightMedian
-		case ops.CPU:
-			a.seconds += float64(e.Count) * p.CPUMedian
-		}
+	iter, err := c.assemble(gi, di, k, Full, c.classSums(gi, di))
+	if err != nil {
+		return nil, err
 	}
 	ex := &Explanation{Iter: iter}
+	classes := c.fold.Classes()
+	times := c.times[di*c.nc : (di+1)*c.nc]
+	// Classes are signature-sorted and a signature starts with its op
+	// type, so one type's classes are contiguous in the reduction.
+	for _, pc := range c.fold.PerGraph(gi) {
+		t := classes[pc.Class].Rep.Op.Type
+		n := len(ex.Contributions)
+		if n == 0 || ex.Contributions[n-1].OpType != t {
+			ex.Contributions = append(ex.Contributions, TypeContribution{OpType: t, Class: c.p.Class.Of(t)})
+			n++
+		}
+		tc := &ex.Contributions[n-1]
+		tc.Count += pc.Count
+		tc.Seconds += float64(pc.Count) * times[pc.Class]
+	}
 	total := iter.PerIterSeconds
-	for t, a := range byType {
-		c := TypeContribution{
-			OpType:  t,
-			Class:   p.Class.Of(t),
-			Count:   a.count,
-			Seconds: a.seconds,
+	if total > 0 {
+		for i := range ex.Contributions {
+			ex.Contributions[i].Share = ex.Contributions[i].Seconds / total
 		}
-		if total > 0 {
-			c.Share = a.seconds / total
-		}
-		ex.Contributions = append(ex.Contributions, c)
+		ex.CommShare = iter.CommSeconds / total
 	}
 	sort.Slice(ex.Contributions, func(i, j int) bool {
 		if ex.Contributions[i].Seconds > ex.Contributions[j].Seconds {
@@ -96,9 +94,6 @@ func (p *Predictor) ExplainIteration(g *graph.Graph, m gpu.ID, k int) (*Explanat
 		}
 		return ex.Contributions[i].OpType < ex.Contributions[j].OpType
 	})
-	if total > 0 {
-		ex.CommShare = iter.CommSeconds / total
-	}
 	return ex, nil
 }
 
@@ -114,42 +109,41 @@ type NodeContribution struct {
 	Seconds float64
 }
 
-// ExplainNodes attributes a predicted iteration node by node — the
-// per-node attribution for pinpointing an individual layer (used by
-// `ceer predict -explain-nodes`). Nodes are returned sorted by
-// predicted time (descending), ties by ID. The communication term has
-// no node to attach to; read it from ExplainIteration.
-//
-// Attribution reuses the graph's cached signature fold: each unique
-// class is costed once (through the shared per-(device, signature)
-// memo) and fanned out to its member nodes, so repeated invocations —
-// the CLI re-explaining after every campaign — do no per-node model
-// evaluations instead of one per DAG node.
-func (p *Predictor) ExplainNodes(g *graph.Graph, m gpu.ID) []NodeContribution {
+// ExplainNodes attributes a predicted iteration node by node. It
+// compiles g alone per call; see CompiledPredictor.ExplainNodes.
+func (p *Predictor) ExplainNodes(g *graph.Graph, m gpu.ID) ([]NodeContribution, error) {
+	c, err := Compile(p, []*graph.Graph{g})
+	if err != nil {
+		return nil, err
+	}
+	return c.ExplainNodes(g, m)
+}
+
+// ExplainNodes attributes a compiled graph's predicted iteration node
+// by node — the per-node attribution for pinpointing an individual
+// layer (used by `ceer predict -explain-nodes`). Each node's seconds
+// are the compiled time of its signature's class. Nodes are returned
+// sorted by predicted time (descending), ties by ID. The communication
+// term has no node to attach to; read it from Explain.
+func (c *CompiledPredictor) ExplainNodes(g *graph.Graph, m gpu.ID) ([]NodeContribution, error) {
+	_, di, err := c.locate(g, m)
+	if err != nil {
+		return nil, err
+	}
+	classes := c.fold.Classes()
+	times := c.times[di*c.nc : (di+1)*c.nc]
 	fold := g.Fold()
 	entries := fold.Entries()
 	secs := make([]float64, len(entries))
 	for i := range entries {
-		e := &entries[i]
-		t := e.Rep.Op.Type
-		switch p.Class.Of(t) {
-		case ops.HeavyGPU:
-			if om, ok := p.opModels[m][t]; ok {
-				secs[i] = p.memoizedHeavy(m, om, e)
-			} else {
-				secs[i] = p.LightMedian
-			}
-		case ops.LightGPU:
-			secs[i] = p.LightMedian
-		case ops.CPU:
-			secs[i] = p.CPUMedian
-		}
+		ci := sort.Search(len(classes), func(j int) bool { return classes[j].Sig >= entries[i].Sig })
+		secs[i] = times[ci]
 	}
 	out := make([]NodeContribution, 0, g.Len())
 	for ni, n := range g.Nodes() {
 		t := n.Op.Type
 		out = append(out, NodeContribution{
-			ID: n.ID, Name: n.Name, OpType: t, Class: p.Class.Of(t), Phase: n.Phase,
+			ID: n.ID, Name: n.Name, OpType: t, Class: c.p.Class.Of(t), Phase: n.Phase,
 			Seconds: secs[fold.ClassOf(ni)],
 		})
 	}
@@ -162,5 +156,5 @@ func (p *Predictor) ExplainNodes(g *graph.Graph, m gpu.ID) []NodeContribution {
 		}
 		return out[i].ID < out[j].ID
 	})
-	return out
+	return out, nil
 }

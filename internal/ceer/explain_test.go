@@ -1,10 +1,12 @@
 package ceer
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"ceer/internal/gpu"
+	"ceer/internal/graph"
 	"ceer/internal/ops"
 	"ceer/internal/zoo"
 )
@@ -56,5 +58,85 @@ func TestExplainIterationPropagatesErrors(t *testing.T) {
 	g := zoo.MustBuild("alexnet", 32)
 	if _, err := p.ExplainIteration(g, gpu.V100, 7); err == nil {
 		t.Error("untrained k should error")
+	}
+}
+
+// naiveAttribution is the unfolded oracle for attribution: every DAG
+// node's predicted seconds (one regression per heavy node, medians
+// otherwise), in node order.
+func naiveAttribution(p *Predictor, g *graph.Graph, m gpu.ID) []float64 {
+	secs := make([]float64, g.Len())
+	for i, n := range g.Nodes() {
+		t := n.Op.Type
+		switch p.Class.Of(t) {
+		case ops.HeavyGPU:
+			if om, ok := p.OpModelFor(m, t); ok {
+				secs[i] = p.evalHeavy(om, n.Op.Features())
+			} else {
+				secs[i] = p.LightMedian
+			}
+		case ops.LightGPU:
+			secs[i] = p.LightMedian
+		case ops.CPU:
+			secs[i] = p.CPUMedian
+		}
+	}
+	return secs
+}
+
+// TestExplainMatchesUnfolded pins both attributions against the
+// unfolded oracle within 1e-9: per type for ExplainIteration, per node
+// for ExplainNodes, on a fully trained predictor and on one that has
+// never seen the inception family (unseen heavy types).
+func TestExplainMatchesUnfolded(t *testing.T) {
+	full, _ := predictor(t)
+	pl := DefaultPipeline(13)
+	pl.ProfileIterations = 20
+	pl.CommIterations = 5
+	partial, _, err := pl.TrainOn(context.Background(), zoo.Build, []string{"vgg-11", "resnet-50", "alexnet"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*Predictor{full, partial} {
+		for _, name := range []string{"inception-v4", "resnet-152", "vgg-19"} {
+			g := zoo.MustBuild(name, 32)
+			for _, m := range gpu.All() {
+				where := name + "/" + string(m)
+				secs := naiveAttribution(p, g, m)
+				byType := make(map[ops.Type]float64)
+				counts := make(map[ops.Type]int)
+				for i, n := range g.Nodes() {
+					byType[n.Op.Type] += secs[i]
+					counts[n.Op.Type]++
+				}
+
+				ex, err := p.ExplainIteration(g, m, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ex.Contributions) != len(byType) {
+					t.Fatalf("%s: %d contributions, oracle has %d types", where, len(ex.Contributions), len(byType))
+				}
+				for _, c := range ex.Contributions {
+					if d := relDiff(c.Seconds, byType[c.OpType]); d > equivTol || c.Count != counts[c.OpType] {
+						t.Errorf("%s %s: %d × %v s, oracle %d × %v s (rel diff %.2e)",
+							where, c.OpType, c.Count, c.Seconds, counts[c.OpType], byType[c.OpType], d)
+					}
+				}
+
+				nodes, err := p.ExplainNodes(g, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(nodes) != g.Len() {
+					t.Fatalf("%s: %d node contributions for %d nodes", where, len(nodes), g.Len())
+				}
+				for _, n := range nodes {
+					if d := relDiff(n.Seconds, secs[n.ID]); d > equivTol {
+						t.Errorf("%s node %s: %v s, oracle %v s (rel diff %.2e)", where, n.Name, n.Seconds, secs[n.ID], d)
+					}
+				}
+			}
+		}
 	}
 }

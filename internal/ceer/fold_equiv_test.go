@@ -2,7 +2,6 @@ package ceer
 
 import (
 	"context"
-
 	"math"
 	"testing"
 
@@ -10,6 +9,7 @@ import (
 	"ceer/internal/dataset"
 	"ceer/internal/gpu"
 	"ceer/internal/graph"
+	"ceer/internal/ops"
 	"ceer/internal/zoo"
 )
 
@@ -59,8 +59,9 @@ func checkIterEqual(t *testing.T, ctx string, folded, naive IterPrediction) {
 }
 
 // TestFoldedMatchesUnfolded is the tentpole correctness pin: the folded
-// serving path must reproduce the naive per-node walk on every zoo CNN
-// × every registered device × every trained k, within float tolerance.
+// path (Predictor.PredictIteration, a one-graph compile) must reproduce
+// the naive per-node walk on every zoo CNN × every registered device ×
+// every trained k, within float tolerance.
 func TestFoldedMatchesUnfolded(t *testing.T) {
 	p, _ := predictor(t)
 	for _, name := range zoo.Names() {
@@ -220,9 +221,11 @@ func TestRecommendMatchesNaiveSweep(t *testing.T) {
 	}
 }
 
-// TestFoldEvalReduction measures the tentpole's point on a cold
-// predictor: serving the whole zoo through the folded path must run at
-// least 5x fewer heavy-op regressions than the naive per-node sweep.
+// TestFoldEvalReduction measures the fold's point on a fresh
+// predictor: compiling the whole zoo runs at most one heavy-op
+// regression per (heavy global class, device) — at least 5x fewer than
+// the naive per-node sweep over every candidate — and the compiled
+// sweep itself runs none.
 func TestFoldEvalReduction(t *testing.T) {
 	pl := DefaultPipeline(17)
 	pl.ProfileIterations = 20
@@ -248,49 +251,37 @@ func TestFoldEvalReduction(t *testing.T) {
 	naive := p.ModelEvaluations() - base
 
 	base = p.ModelEvaluations()
-	for _, g := range graphs {
-		if _, err := p.Recommend(g, dataset.ImageNet, cloud.OnDemand, cands, MinimizeCost); err != nil {
-			t.Fatal(err)
+	c, err := Compile(p, graphs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled := p.ModelEvaluations() - base
+	if compiled == 0 {
+		t.Fatal("zoo compile ran zero evaluations — counter broken")
+	}
+	heavy := 0
+	for _, cl := range c.fold.Classes() {
+		if p.Class.Of(cl.Rep.Op.Type) == ops.HeavyGPU {
+			heavy++
 		}
 	}
-	folded := p.ModelEvaluations() - base
-	if folded == 0 {
-		t.Fatal("folded sweep ran zero evaluations on a cold memo — counter broken")
+	if limit := uint64(heavy * len(gpu.All())); compiled > limit {
+		t.Errorf("zoo compile ran %d evaluations, more than %d heavy classes x %d devices",
+			compiled, heavy, len(gpu.All()))
 	}
-	ratio := float64(naive) / float64(folded)
-	t.Logf("zoo sweep: naive %d evals, folded %d evals (%.1fx reduction)", naive, folded, ratio)
+	ratio := float64(naive) / float64(compiled)
+	t.Logf("zoo sweep: naive %d evals, compile %d evals (%.1fx reduction)", naive, compiled, ratio)
 	if ratio < 5 {
 		t.Errorf("eval reduction %.1fx, want >= 5x", ratio)
 	}
 
-	// A second folded sweep hits the memo exclusively.
 	base = p.ModelEvaluations()
 	for _, g := range graphs {
-		if _, err := p.Recommend(g, dataset.ImageNet, cloud.OnDemand, cands, MinimizeCost); err != nil {
+		if _, err := c.Recommend(g, dataset.ImageNet, cloud.OnDemand, cands, MinimizeCost); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if warm := p.ModelEvaluations() - base; warm != 0 {
-		t.Errorf("warm folded sweep re-ran %d evaluations, want 0", warm)
-	}
-}
-
-// TestPredictIterationAllocFree pins the warm serving path at zero
-// allocations per prediction.
-func TestPredictIterationAllocFree(t *testing.T) {
-	p, _ := predictor(t)
-	g := zoo.MustBuild("resnet-152", 32)
-	if _, err := p.PredictIteration(g, gpu.V100, 4, Full); err != nil {
-		t.Fatal(err)
-	}
-	var err error
-	n := testing.AllocsPerRun(100, func() {
-		_, err = p.PredictIteration(g, gpu.V100, 4, Full)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Errorf("warm PredictIteration allocates %v per call, want 0", n)
+	if n := p.ModelEvaluations() - base; n != 0 {
+		t.Errorf("compiled sweep ran %d evaluations, want 0", n)
 	}
 }

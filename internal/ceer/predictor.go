@@ -3,7 +3,6 @@ package ceer
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"ceer/internal/cloud"
@@ -71,24 +70,9 @@ type Predictor struct {
 	// labels degraded candidates.
 	degraded map[gpu.ID]string
 
-	// memoMu guards memo, the cross-call heavy-op prediction cache of
-	// the serving path, keyed by (device, op signature). A trained
-	// predictor's models are immutable, and a signature determines the
-	// feature vector, so entries never invalidate; the memo is shared
-	// by every graph predicted through this instance (identical layers
-	// in different CNNs hit the same entry).
-	memoMu sync.RWMutex
-	memo   map[memoKey]float64
-
-	// evals counts heavy-op regression evaluations — the work the fold
-	// and memo exist to avoid; see ModelEvaluations.
+	// evals counts heavy-op regression evaluations — the work folding
+	// and compilation exist to avoid; see ModelEvaluations.
 	evals atomic.Uint64
-}
-
-// memoKey identifies one memoized heavy-op prediction.
-type memoKey struct {
-	gpu gpu.ID
-	sig ops.Signature
 }
 
 // Train fits all Ceer models from an op-level profile bundle (the 8
@@ -333,11 +317,12 @@ func (p *Predictor) PredictComm(m gpu.ID, k int, params int64) (float64, error) 
 }
 
 // ModelEvaluations returns the cumulative number of heavy-op regression
-// evaluations this predictor has performed across all serving-path
-// calls (folded memo misses plus every unfolded per-node evaluation).
-// The folded path evaluates each (device, signature) pair at most once
-// per predictor lifetime, so the counter directly measures the fold's
-// work reduction; see BenchmarkRecommendSweep.
+// evaluations this predictor has performed: every heavy class × device
+// cell of every Compile over it (including the one-graph compiles of
+// PredictIteration, PredictTraining, Recommend and the Explain methods)
+// plus every unfolded per-node evaluation. Compile evaluates each
+// (device, signature) pair once per compiled graph set, so the counter
+// measures the fold's work reduction; see BenchmarkRecommendSweep.
 func (p *Predictor) ModelEvaluations() uint64 { return p.evals.Load() }
 
 // evalHeavy runs one heavy-op regression (counting it) and clamps the
@@ -349,28 +334,6 @@ func (p *Predictor) evalHeavy(om *OpModel, feats []float64) float64 {
 		pred = 0
 	}
 	return pred
-}
-
-// memoizedHeavy returns the heavy-op prediction for a fold entry,
-// evaluating the regression only on the first request per (device,
-// signature). Reads are lock-striped by an RWMutex and allocation-free
-// on the warm path.
-func (p *Predictor) memoizedHeavy(m gpu.ID, om *OpModel, e *graph.FoldEntry) float64 {
-	key := memoKey{m, e.Sig}
-	p.memoMu.RLock()
-	v, ok := p.memo[key]
-	p.memoMu.RUnlock()
-	if ok {
-		return v
-	}
-	v = p.evalHeavy(om, e.Features)
-	p.memoMu.Lock()
-	if p.memo == nil {
-		p.memo = make(map[memoKey]float64)
-	}
-	p.memo[key] = v
-	p.memoMu.Unlock()
-	return v
 }
 
 // Variant selects which model components a prediction uses, enabling
@@ -420,94 +383,24 @@ type IterPrediction struct {
 	UnseenHeavy []ops.Type
 }
 
-// opSums is the k-independent op-sum of Eq. (2)'s parenthesized term
-// for one (graph, device): everything except the communication
-// overhead, in count-weighted form so any ablation variant can be
-// assembled from it without re-walking the graph.
-type opSums struct {
-	// modeledHeavy is Σ count × prediction over heavy classes with a
-	// trained model.
-	modeledHeavy float64
-	// unseenHeavy, light, cpu count instances estimated by medians.
-	unseenHeavy int
-	light       int
-	cpu         int
-	// unseenTypes lists the heavy types lacking a model, sorted. The
-	// slice is shared by repeated calls; callers must not modify it.
-	unseenTypes []ops.Type
-}
-
-// foldSums evaluates the op-sum over the graph's signature fold: each
-// unique (signature, phase) class is costed once and weighted by its
-// multiplicity, so the work scales with the number of unique ops, not
-// DAG nodes, and memoized classes cost a map read.
-func (p *Predictor) foldSums(g *graph.Graph, m gpu.ID) opSums {
-	var s opSums
-	byType := p.opModels[m]
-	entries := g.Fold().Entries()
-	for i := range entries {
-		e := &entries[i]
-		t := e.Rep.Op.Type
-		switch p.Class.Of(t) {
-		case ops.HeavyGPU:
-			if om, ok := byType[t]; ok {
-				s.modeledHeavy += float64(e.Count) * p.memoizedHeavy(m, om, e)
-				continue
-			}
-			s.unseenHeavy += e.Count
-			// Entries are signature-sorted, so one type's classes are
-			// contiguous: dedup against the last element suffices.
-			if n := len(s.unseenTypes); n == 0 || s.unseenTypes[n-1] != t {
-				s.unseenTypes = append(s.unseenTypes, t)
-			}
-		case ops.LightGPU:
-			s.light += e.Count
-		case ops.CPU:
-			s.cpu += e.Count
-		}
-	}
-	sortTypes(s.unseenTypes)
-	return s
-}
-
-// assembleIter builds an IterPrediction from precomputed op-sums plus
-// the (only k-dependent) communication term.
-func (p *Predictor) assembleIter(g *graph.Graph, m gpu.ID, k int, v Variant, s opSums) (IterPrediction, error) {
-	var out IterPrediction
-	out.HeavySeconds = s.modeledHeavy
-	if v == Full || v == NoComm {
-		out.HeavySeconds += float64(s.unseenHeavy) * p.LightMedian
-		out.LightSeconds = float64(s.light) * p.LightMedian
-		out.CPUSeconds = float64(s.cpu) * p.CPUMedian
-	}
-	if v == Full || v == HeavyOnly {
-		c, err := p.PredictComm(m, k, g.Params)
-		if err != nil {
-			return IterPrediction{}, err
-		}
-		out.CommSeconds = c
-	}
-	out.PerIterSeconds = out.HeavySeconds + out.LightSeconds + out.CPUSeconds + out.CommSeconds
-	if len(s.unseenTypes) > 0 {
-		out.UnseenHeavy = append([]ops.Type(nil), s.unseenTypes...)
-	}
-	return out, nil
-}
-
 // PredictIteration predicts the per-iteration training time of the CNN
 // graph on k GPUs of the given model, per Eq. (2)'s parenthesized term.
-// It evaluates the graph's signature fold — one regression per unique
-// op class, memoized across calls per (device, signature) — and is
-// allocation-free once warm; PredictIterationUnfolded is the per-node
-// reference path.
+// It compiles g alone and reads the tables (Compile), so a one-off call
+// pays a one-graph compile; predict repeatedly through a
+// CompiledPredictor. PredictIterationUnfolded is the per-node reference
+// path.
 func (p *Predictor) PredictIteration(g *graph.Graph, m gpu.ID, k int, v Variant) (IterPrediction, error) {
-	return p.assembleIter(g, m, k, v, p.foldSums(g, m))
+	c, err := Compile(p, []*graph.Graph{g})
+	if err != nil {
+		return IterPrediction{}, err
+	}
+	return c.PredictIteration(g, m, k, v)
 }
 
 // PredictIterationUnfolded is PredictIteration computed the naive way:
-// one model evaluation per DAG node, no fold, no memo. It exists as the
-// reference implementation for the folded-vs-naive equivalence tests
-// and benchmarks, and for per-node attribution (see ExplainNodes).
+// one model evaluation per DAG node, no fold, no tables. It exists as
+// the reference implementation for the compiled-vs-naive equivalence
+// tests and benchmarks.
 func (p *Predictor) PredictIterationUnfolded(g *graph.Graph, m gpu.ID, k int, v Variant) (IterPrediction, error) {
 	var out IterPrediction
 	unseen := make(map[ops.Type]bool)
@@ -566,21 +459,19 @@ type Prediction struct {
 }
 
 // PredictTraining predicts the end-to-end training time and cost of one
-// epoch of the dataset on the configuration, per Eq. (2).
+// epoch of the dataset on the configuration, per Eq. (2). Like
+// PredictIteration, it pays a one-graph compile per call.
 func (p *Predictor) PredictTraining(g *graph.Graph, cfg cloud.Config, ds dataset.Dataset, pricing cloud.Pricing) (Prediction, error) {
 	return p.PredictTrainingVariant(g, cfg, ds, pricing, Full)
 }
 
 // PredictTrainingVariant is PredictTraining with an ablation variant.
 func (p *Predictor) PredictTrainingVariant(g *graph.Graph, cfg cloud.Config, ds dataset.Dataset, pricing cloud.Pricing, v Variant) (Prediction, error) {
-	if !cfg.Valid() {
-		return Prediction{}, fmt.Errorf("ceer: invalid config %s", cfg)
-	}
-	iter, err := p.PredictIteration(g, cfg.GPU, cfg.K, v)
+	c, err := Compile(p, []*graph.Graph{g})
 	if err != nil {
 		return Prediction{}, err
 	}
-	return p.finishPrediction(g, cfg, ds, pricing, iter)
+	return c.PredictTrainingVariant(g, cfg, ds, pricing, v)
 }
 
 // finishPrediction extends a per-iteration prediction to one epoch's

@@ -1,9 +1,6 @@
 package ceer
 
 import (
-	"fmt"
-	"math"
-
 	"ceer/internal/cloud"
 	"ceer/internal/dataset"
 	"ceer/internal/gpu"
@@ -85,89 +82,14 @@ type Recommendation struct {
 
 // Recommend evaluates every candidate configuration for training the
 // CNN over the dataset and returns the feasible one minimizing the
-// objective — the runtime loop of Section IV-D. It returns an error if
-// no candidate is feasible.
-//
-// Candidates on devices with degraded (partial-coverage) training data
-// are labeled and only win when no cleanly-covered feasible candidate
-// exists. A degraded device missing its communication model entirely
-// is predicted without the comm term and marked infeasible rather than
-// failing the sweep.
-//
-// The sweep hoists the k-independent op-sum out of the per-k loop: the
-// graph's fold is costed once per distinct device (only the
-// communication term of Eq. (2) depends on k), so sweeping devices × k
-// costs one fold evaluation per device plus one comm-model evaluation
-// per candidate.
+// objective (see CompiledPredictor.Recommend for the semantics). It
+// compiles g alone per call; sweep repeatedly through a
+// CompiledPredictor.
 func (p *Predictor) Recommend(g *graph.Graph, ds dataset.Dataset, pricing cloud.Pricing,
 	candidates []cloud.Config, obj Objective, constraints ...Constraint) (Recommendation, error) {
-	if len(candidates) == 0 {
-		return Recommendation{}, fmt.Errorf("ceer: no candidate configurations")
+	c, err := Compile(p, []*graph.Graph{g})
+	if err != nil {
+		return Recommendation{}, err
 	}
-	rec := Recommendation{}
-	bestScore, bestDegradedScore := math.Inf(1), math.Inf(1)
-	var bestDegraded Candidate
-	found, foundDegraded := false, false
-	sumsByGPU := make(map[gpu.ID]opSums, 4)
-	for _, cfg := range candidates {
-		if !cfg.Valid() {
-			return Recommendation{}, fmt.Errorf("ceer: invalid config %s", cfg)
-		}
-		sums, ok := sumsByGPU[cfg.GPU]
-		if !ok {
-			sums = p.foldSums(g, cfg.GPU)
-			sumsByGPU[cfg.GPU] = sums
-		}
-		degradedReason, isDegraded := p.Degraded(cfg.GPU)
-		commMissing := false
-		iter, err := p.assembleIter(g, cfg.GPU, cfg.K, Full, sums)
-		if err != nil {
-			if !isDegraded {
-				return Recommendation{}, err
-			}
-			// A degraded device may lack its comm model for this k:
-			// predict without the comm term and disqualify the candidate
-			// instead of aborting the sweep.
-			commMissing = true
-			iter, err = p.assembleIter(g, cfg.GPU, cfg.K, NoComm, sums)
-			if err != nil {
-				return Recommendation{}, err
-			}
-		}
-		pred, err := p.finishPrediction(g, cfg, ds, pricing, iter)
-		if err != nil {
-			return Recommendation{}, err
-		}
-		cand := Candidate{Prediction: pred, Feasible: !commMissing, Degraded: degradedReason}
-		if cand.Feasible {
-			for _, c := range constraints {
-				if !c(pred) {
-					cand.Feasible = false
-					break
-				}
-			}
-		}
-		if cand.Feasible {
-			cand.Score = obj(pred.TotalSeconds, pred.CostUSD)
-			switch {
-			case !isDegraded && cand.Score < bestScore:
-				bestScore = cand.Score
-				rec.Best = cand
-				found = true
-			case isDegraded && cand.Score < bestDegradedScore:
-				bestDegradedScore = cand.Score
-				bestDegraded = cand
-				foundDegraded = true
-			}
-		}
-		rec.Candidates = append(rec.Candidates, cand)
-	}
-	if !found && foundDegraded {
-		rec.Best = bestDegraded
-		found = true
-	}
-	if !found {
-		return rec, fmt.Errorf("ceer: no feasible configuration among %d candidates", len(candidates))
-	}
-	return rec, nil
+	return c.Recommend(g, ds, pricing, candidates, obj, constraints...)
 }

@@ -1,11 +1,13 @@
 package ceer
 
 import (
+	"errors"
 	"testing"
 
 	"ceer/internal/cloud"
 	"ceer/internal/dataset"
 	"ceer/internal/gpu"
+	"ceer/internal/graph"
 	"ceer/internal/zoo"
 )
 
@@ -15,21 +17,33 @@ import (
 func TestRecommendAllFilteredOut(t *testing.T) {
 	p, _ := predictor(t)
 	g := zoo.MustBuild("resnet-50", 32)
-	rec, err := p.Recommend(g, dataset.ImageNet, cloud.OnDemand, cloud.Configs(4),
-		MinimizeCost, MaxHourlyBudget(0.001, 0))
-	if err == nil {
-		t.Fatal("all-infeasible sweep should error")
+	c, err := Compile(p, []*graph.Graph{g})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(rec.Candidates) != 16 {
-		t.Fatalf("error path returned %d candidates, want the full 16", len(rec.Candidates))
-	}
-	for _, c := range rec.Candidates {
-		if c.Feasible {
-			t.Errorf("%s marked feasible under an impossible hourly budget", c.Cfg)
+	cons := MaxHourlyBudget(0.001, 0)
+	fromP, errP := p.Recommend(g, dataset.ImageNet, cloud.OnDemand, cloud.Configs(4), MinimizeCost, cons)
+	fromC, errC := c.Recommend(g, dataset.ImageNet, cloud.OnDemand, cloud.Configs(4), MinimizeCost, cons)
+	for _, tc := range []struct {
+		name string
+		rec  Recommendation
+		err  error
+	}{{"predictor", fromP, errP}, {"compiled", fromC, errC}} {
+		name, rec, err := tc.name, tc.rec, tc.err
+		if !errors.Is(err, ErrNoFeasible) {
+			t.Fatalf("%s: all-infeasible sweep error = %v, want ErrNoFeasible", name, err)
 		}
-	}
-	if rec.Best.Cfg != (cloud.Config{}) {
-		t.Errorf("Best should be zero-valued when nothing is feasible, got %s", rec.Best.Cfg)
+		if len(rec.Candidates) != 16 {
+			t.Fatalf("%s: error path returned %d candidates, want the full 16", name, len(rec.Candidates))
+		}
+		for _, c := range rec.Candidates {
+			if c.Feasible {
+				t.Errorf("%s: %s marked feasible under an impossible hourly budget", name, c.Cfg)
+			}
+		}
+		if rec.Best.Cfg != (cloud.Config{}) {
+			t.Errorf("%s: Best should be zero-valued when nothing is feasible, got %s", name, rec.Best.Cfg)
+		}
 	}
 }
 

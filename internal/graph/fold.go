@@ -11,7 +11,7 @@ import (
 // CNN DAGs are overwhelmingly repeated identical modules (a ResNet-152
 // iteration holds hundreds of structurally identical convolutions), so
 // the number of classes is typically a small fraction of the node
-// count — the redundancy the folded serving path exploits.
+// count — the redundancy compiled prediction tables exploit.
 type FoldEntry struct {
 	// Sig is the ops-level canonical signature shared by the class.
 	Sig ops.Signature

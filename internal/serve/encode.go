@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"strconv"
 
 	"ceer"
 )
@@ -238,10 +237,8 @@ func (s *Server) renderHealthz(sc *scratch, now int64) {
 }
 
 // handleExplain is the /v1/explain cold path: per-op-type attribution
-// through the folded predictor behind the box's tables, marshaled with
-// encoding/json. It explains only the compiled batch: another batch=
-// answers 400, because the folded predictor's memo would keep every
-// batch it explained (see DESIGN.md §13).
+// read from the same compiled tables as predict and recommend
+// (tablesFor), marshaled with encoding/json.
 //
 //hot:exempt cold diagnostic endpoint; allocates by design
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, start int64) {
@@ -252,10 +249,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, start int
 	}
 	if q.model == "" || q.gpu == "" {
 		s.respondError(w, epExplain, http.StatusBadRequest, "missing model or gpu parameter", start)
-		return
-	}
-	if q.batch != s.batch {
-		s.respondError(w, epExplain, http.StatusBadRequest, "explain serves only the compiled batch "+strconv.FormatInt(s.batch, 10), start)
 		return
 	}
 	mi := s.findModel(q.model)
@@ -278,7 +271,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, start int
 	if k == 0 {
 		k = 1
 	}
-	ex, err := s.box.Load().Predictor().ExplainIteration(s.models[mi].g, ceer.GPUModel(q.gpu), k)
+	comp, g, msg := s.tablesFor(q.batch, mi)
+	if msg != "" {
+		s.respondError(w, epExplain, http.StatusBadRequest, msg, start)
+		return
+	}
+	ex, err := comp.Explain(g, ceer.GPUModel(q.gpu), k)
 	if err != nil {
 		s.respondError(w, epExplain, http.StatusBadRequest, err.Error(), start)
 		return

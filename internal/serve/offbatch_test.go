@@ -13,8 +13,8 @@ import (
 	"ceer"
 )
 
-// offBatchTol is the relative tolerance of the compiled tables against
-// the folded predictor (the equivalence suites' bound).
+// offBatchTol is the relative tolerance of the zoo-wide tables against
+// the System's one-graph path (the equivalence suites' bound).
 const offBatchTol = 1e-9
 
 func relClose(got, want float64) bool {
@@ -64,11 +64,11 @@ func getBody(t *testing.T, s *Server, path, rawQuery string) []byte {
 }
 
 // TestOffBatchMatchesCompiledServer pins the off-batch contract: every
-// predict and recommend body at a batch other than the compiled one
-// equals, byte for byte, the body of a server compiled at that batch
-// (the `ceer predict -json -batch B` path), and agrees with the folded
-// predictor within 1e-9 relative, with the same best configuration,
-// feasibility and unseen heavy types.
+// predict, recommend and explain body at a batch other than the
+// compiled one equals, byte for byte, the body of a server compiled at
+// that batch (the `ceer predict -json -batch B` path), and predictions
+// agree with the System's one-graph path within 1e-9 relative, with
+// the same best configuration, feasibility and unseen heavy types.
 func TestOffBatchMatchesCompiledServer(t *testing.T) {
 	sys := testSystem(t)
 	s := newTestServer(t, Options{})
@@ -86,6 +86,11 @@ func TestOffBatchMatchesCompiledServer(t *testing.T) {
 			rbody := getBody(t, s, "/v1/recommend", rq)
 			if want := getBody(t, ref, "/v1/recommend", rq); !bytes.Equal(rbody, want) {
 				t.Errorf("recommend %s: off-batch body diverges from a server compiled at %d\n got: %s\nwant: %s", rq, batch, rbody, want)
+			}
+			eq := pq + "&gpu=v100&k=2"
+			ebody := getBody(t, s, "/v1/explain", eq)
+			if want := getBody(t, ref, "/v1/explain", eq); !bytes.Equal(ebody, want) {
+				t.Errorf("explain %s: off-batch body diverges from a server compiled at %d\n got: %s\nwant: %s", eq, batch, ebody, want)
 			}
 
 			g, err := ceer.BuildModel(model, batch)

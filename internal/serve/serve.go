@@ -35,10 +35,10 @@ import (
 type Options struct {
 	// Batch is the per-GPU batch size the zoo tables are compiled at
 	// before the server accepts traffic (0 = the paper default, 32).
-	// Predict and recommend requests for another batch size are
-	// answered from tables compiled per (batch size, model) on first
-	// request from the serving generation's predictor, capped at
-	// offBatchCap pairs (see tablesFor); explain answers 400 there.
+	// Predict, recommend and explain requests for another batch size
+	// are answered from tables compiled per (batch size, model) on
+	// first request from the serving generation's predictor, capped at
+	// offBatchCap pairs (see tablesFor).
 	Batch int64
 	// MaxK bounds candidate GPU counts per family (0 = 4, the paper's
 	// sweep).

@@ -24,7 +24,7 @@ cd "$(dirname "$0")/.."
 COUNT="${BENCH_COUNT:-3}"
 TIME="${BENCH_TIME:-100x}"
 PKG="${BENCH_PKG:-.}"
-REGEX="${BENCH_REGEX:-PredictIteration(Folded|Unfolded|Compiled)|CompileZoo|RecommendSweep}"
+REGEX="${BENCH_REGEX:-PredictIteration(Unfolded|Compiled)|CompileZoo|RecommendSweep}"
 OUT="${BENCH_OUT:-BENCH_predict.json}"
 BASELINE="${BENCH_BASELINE:-BENCH_predict.json}"
 GATE="${BENCH_GATE:-1}"

@@ -65,6 +65,11 @@ grep -q '"best"' "${tmp}/recommend.json"
 fetch "/v1/explain?model=resnet-50&gpu=v100&k=2" "${tmp}/explain.json"
 grep -q '"contributions"' "${tmp}/explain.json"
 
+# Explain off the compiled batch reads the same per-batch tables as
+# predict and recommend.
+fetch "/v1/explain?model=resnet-50&gpu=v100&k=2&batch=64" "${tmp}/explain64.json"
+grep -q '"contributions"' "${tmp}/explain64.json"
+
 fetch "/metrics" "${tmp}/metrics.json"
 grep -q '"predict"' "${tmp}/metrics.json"
 
