@@ -367,9 +367,10 @@ func (c *CompiledPredictor) PredictTrainingVariant(g *graph.Graph, cfg cloud.Con
 
 // Recommend evaluates every candidate configuration for training the
 // CNN over the dataset and returns the feasible one minimizing the
-// objective — the runtime loop of Section IV-D. It returns an error if
-// no candidate is feasible, together with the full candidate table so
-// callers can show why nothing fit.
+// objective — the runtime loop of Section IV-D. If no candidate is
+// feasible it returns an error wrapping ErrNoFeasible together with the
+// full candidate table, so callers can show why nothing fit; any other
+// error comes with an empty Recommendation.
 //
 // Candidates on devices with degraded (partial-coverage) training data
 // are labeled and only win when no cleanly-covered feasible candidate
@@ -384,6 +385,9 @@ func (c *CompiledPredictor) Recommend(g *graph.Graph, ds dataset.Dataset, pricin
 	candidates []cloud.Config, obj Objective, constraints ...Constraint) (Recommendation, error) {
 	var rec Recommendation
 	err := c.RecommendInto(&rec, g, ds, pricing, candidates, obj, constraints...)
+	if err != nil && !errors.Is(err, ErrNoFeasible) {
+		return Recommendation{}, err
+	}
 	return rec, err
 }
 
